@@ -71,11 +71,34 @@ def cpu_seconds(pid: int) -> float:
 
 def steal_seconds() -> float:
     """CPU time the hypervisor gave to other guests, summed over this
-    machine's CPUs, from /proc/stat. Read around each measurement: it is
-    the main source of run-to-run spread on a shared host."""
+    machine's CPUs, from /proc/stat (in 10 ms ticks). Read around each
+    timed interval: it is the main source of run-to-run spread on a
+    shared host."""
     with open("/proc/stat") as fh:
         fields = fh.readline().split()
     return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+
+
+def _stat_cpus() -> int:
+    with open("/proc/stat") as fh:
+        return sum(1 for line in fh if line[:3] == "cpu" and line[3].isdigit())
+
+
+#: The CPUs /proc/stat sums its counters over.
+STAT_CPUS = _stat_cpus()
+
+
+def net_seconds(seconds: float, stolen_before: float, stolen_after: float) -> float:
+    """``seconds`` of wall time less the host steal that fell in it.
+
+    On a shared host other guests take CPU time from this machine's CPUs
+    while they have work. Between two ``steal_seconds()`` readings taken
+    around a timed interval, each CPU lost on average the stolen total
+    divided by the number of CPUs, and that is taken off the interval.
+    Work whose critical path ran where more was stolen keeps the rest, so
+    the result errs long, never short. With no steal it is ``seconds``.
+    """
+    return max(0.0, seconds - (stolen_after - stolen_before) / STAT_CPUS)
 
 
 def fingerprint() -> dict:

@@ -69,10 +69,12 @@ class Server:
 
 
 def call(port: int, method: str, path: str, tenant: str, body=None):
-    """One request: ``(status, payload, request id, seconds)``."""
+    """One request: ``(status, payload, request id, seconds, net seconds)``,
+    the last with host steal taken out (``common.net_seconds``)."""
     data = None if body is None else json.dumps(body).encode()
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
     try:
+        stolen = common.steal_seconds()
         start = time.perf_counter()
         conn.request(method, path, body=data, headers={
             "X-Tenant-Id": tenant, "Content-Type": "application/json",
@@ -80,9 +82,10 @@ def call(port: int, method: str, path: str, tenant: str, body=None):
         response = conn.getresponse()
         raw = response.read()
         elapsed = time.perf_counter() - start
+        net = common.net_seconds(elapsed, stolen, common.steal_seconds())
     finally:
         conn.close()
-    return response.status, json.loads(raw), response.getheader("X-Request-Id"), elapsed
+    return response.status, json.loads(raw), response.getheader("X-Request-Id"), elapsed, net
 
 
 class Client:
@@ -93,7 +96,7 @@ class Client:
         self.request_ids: set[str] = set()
 
     def ok(self, method: str, path: str, tenant: str, body=None) -> dict:
-        status, payload, rid, _ = call(self.port, method, path, tenant, body)
+        status, payload, rid, _, _ = call(self.port, method, path, tenant, body)
         self.request_ids.add(rid)
         self.acct.add(self.phase, status in (200, 201))
         check(status in (200, 201), f"{self.phase}: {method} {path}: HTTP {status}: {payload}")
@@ -188,11 +191,11 @@ class Interactive:
     def measure(self, ports: list[int], seconds: float) -> list[dict]:
         def localize(port, tenant, appliance, page, revisit):
             body = {"appliance": appliance, "start": page, "length": WINDOW}
-            status, payload, rid, elapsed = call(
+            status, payload, rid, elapsed, net = call(
                 port, "POST", f"/houses/{HOUSE}/localize", tenant, body)
             return {"arm": ports.index(port), "appliance": appliance, "start": page,
                     "revisit": revisit, "status": status, "payload": payload,
-                    "requests": [(rid, elapsed)], "latency": elapsed}
+                    "requests": [(rid, elapsed)], "latency": elapsed, "net": net}
 
         def rounds_for(i):
             rng = np.random.default_rng(self.walk_seeds[i])
@@ -272,7 +275,8 @@ class Live:
                      f"&window={WINDOW}", tenant)
             return {"arm": arm, "n": n, "status": max(a[0], r[0]),
                     "append": a[1], "payload": r[1],
-                    "requests": [(a[2], a[3]), (r[2], r[3])], "latency": a[3] + r[3]}
+                    "requests": [(a[2], a[3]), (r[2], r[3])], "latency": a[3] + r[3],
+                    "net": a[4] + r[4]}
 
         def rounds_for(i):
             for r in itertools.count():
@@ -320,18 +324,19 @@ def run(workload_cls, seed: int, seconds: float, trace: bool, acct) -> dict:
     if not trace:
         setups = []
         for attempt in range(SETUP_REPEATS):
-            start = time.perf_counter()
+            stolen, start = common.steal_seconds(), time.perf_counter()
             server = Server(trace=False)
             try:
                 workload.setup(Client(server.port, acct, "setup"))
-                setups.append(time.perf_counter() - start)
+                elapsed = time.perf_counter() - start
+                setups.append((elapsed, common.net_seconds(elapsed, stolen, common.steal_seconds())))
                 if attempt == SETUP_REPEATS - 1:
                     (phase,) = _measure(workload, [server], seconds, acct)
                 else:
                     server.stop()
             finally:
                 server.kill()
-        return {"phase": phase, "setup_s": float(np.median(setups))}
+        return {"phase": phase, "setups": setups}
     servers = []
     try:
         clients = []

@@ -214,12 +214,13 @@ def run(workload_cls, seed: int, seconds: float, trace: bool, acct) -> dict:
     if not trace:
         setups = []
         for _ in range(SETUP_REPEATS):
-            start = time.perf_counter()
+            stolen, start = common.steal_seconds(), time.perf_counter()
             state = workload.setup()
-            setups.append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            setups.append((elapsed, common.net_seconds(elapsed, stolen, common.steal_seconds())))
             acct.add("setup", True)
         (phase,) = _measure(workload, state, seconds, acct)
-        return {"phase": phase, "setup_s": float(np.median(setups))}
+        return {"phase": phase, "setups": setups}
     tracer = tracing.Tracer()
     tracing.install_program_spans(tracer)
     try:
@@ -250,15 +251,17 @@ def _measure(workload, state, seconds, acct, tracer=None) -> list[dict]:
             tracing.install_program_spans(tracer)
             tracer.set_request(f"op{n}")
         try:
+            stolen = common.steal_seconds()
             begin, cpu0 = time.perf_counter(), time.process_time()
             outputs.append(workload.op(state, n))
             end = time.perf_counter()
+            net = common.net_seconds(end - begin, stolen, common.steal_seconds())
         finally:
             if arm:
                 tracer.uninstall()
         ops.append({
             "arm": arm, "tenant": 0, "round": n, "end": end, "status": 200,
-            "latency": end - begin, "cpu": time.process_time() - cpu0,
+            "latency": end - begin, "net": net, "cpu": time.process_time() - cpu0,
             "requests": [(f"op{n}", end - begin)],
         })
         n += 1
